@@ -1,19 +1,16 @@
-//! `read_path` bench: locked-baseline vs lock-free session reads.
+//! `read_path` bench: lock-free session reads across reader counts.
 //!
 //! The paper's central performance claim is that clients cache CVT entries,
 //! so the common-case translation check needs no MTL (or OS) involvement.
 //! This bench isolates exactly that hot path: N reader threads share ONE
-//! client session and hammer warm CVT-cache-hit loads, once with the
-//! seqlock fast path disabled (every check locks the client mutex — the
-//! pre-redesign behavior) and once enabled (zero client locks). The final
-//! line is a machine-readable JSON summary (tag `BENCH_read_path`).
+//! client session and hammer warm CVT-cache-hit loads, which the service
+//! answers from the seqlock-published snapshot with zero client locks. The
+//! final line is a machine-readable JSON summary (tag `BENCH_read_path`).
 //!
 //! Run with `cargo bench -p vbi-bench --bench read_path`; set
 //! `VBI_READ_OPS` to change the per-thread load count (default 50 000).
-//! On a single-CPU host the wall-clock columns are flat (readers share one
-//! core and uncontended mutexes are cheap); the `client_locks` column is
-//! the structural signal — 0 on the lock-free rows, one per read on the
-//! locked rows.
+//! The `client_locks` column is the structural signal: it must read 0 on
+//! every row, and the run asserts it.
 
 use vbi_core::telemetry::{bench_line, JsonValue as J};
 use vbi_sim::service_run::{read_path_run, ReadPathConfig};
@@ -23,36 +20,21 @@ fn main() {
         std::env::var("VBI_READ_OPS").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(50_000);
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    // (threads, lockfree) sweep: each thread count runs the locked
-    // baseline and the lock-free session path back to back.
-    let sweep: [(usize, bool); 8] = [
-        (1, false),
-        (1, true),
-        (2, false),
-        (2, true),
-        (4, false),
-        (4, true),
-        (8, false),
-        (8, true),
-    ];
-
     println!(
-        "{:>7} {:>9} {:>12} {:>13} {:>14} {:>12}",
-        "threads", "lockfree", "ops/sec", "client-locks", "lockfree-hits", "torn-retries"
+        "{:>7} {:>12} {:>13} {:>14} {:>12}",
+        "threads", "ops/sec", "client-locks", "lockfree-hits", "torn-retries"
     );
     let mut results = Vec::new();
-    for (threads, lockfree) in sweep {
+    for threads in [1, 2, 4, 8] {
         let report = read_path_run(&ReadPathConfig {
             threads,
             shards: 4,
             ops_per_thread,
-            lockfree,
             ..ReadPathConfig::default()
         });
         println!(
-            "{:>7} {:>9} {:>12.0} {:>13} {:>14} {:>12}",
+            "{:>7} {:>12.0} {:>13} {:>14} {:>12}",
             threads,
-            lockfree,
             report.ops_per_sec,
             report.client_locks,
             report.cache.lockfree_hits,
@@ -60,12 +42,7 @@ fn main() {
         );
         // The structural claim the sweep exists to demonstrate — fail loud
         // in CI if a regression puts client locks back on the hit path.
-        if lockfree {
-            assert_eq!(
-                report.client_locks, 0,
-                "lock-free warm cache-hit reads must take zero client locks"
-            );
-        }
+        assert_eq!(report.client_locks, 0, "warm cache-hit reads must take zero client locks");
         results.push(report);
     }
 

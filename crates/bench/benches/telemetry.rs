@@ -26,7 +26,6 @@ fn run(ops_per_thread: usize, telemetry: bool) -> ReadPathReport {
         threads: 4,
         shards: 4,
         ops_per_thread,
-        lockfree: true,
         telemetry,
         ..ReadPathConfig::default()
     })

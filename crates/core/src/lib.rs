@@ -96,7 +96,7 @@ pub mod vm;
 
 pub use addr::{SizeClass, VbiAddress, Vbuid};
 pub use client::{ClientId, VirtualAddress};
-pub use config::{EvictionPolicy, VbiConfig};
+pub use config::VbiConfig;
 pub use error::{Result, VbiError};
 pub use frame_cache::{FrameCache, FrameCacheStats};
 pub use mtl::Mtl;

@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet};
 
 use crate::addr::{SizeClass, VbiAddress, Vbuid};
 use crate::buddy::{BuddyAllocator, Order};
-use crate::config::{EvictionPolicy, VbiConfig};
+use crate::config::VbiConfig;
 use crate::error::{Result, VbiError};
 use crate::frame_cache::FrameCache;
 use crate::phys::{Frame, PhysAddr, PhysicalMemory, FRAME_BYTES};
@@ -1081,11 +1081,10 @@ impl Mtl {
     /// enabled VBs sorted by `(vbuid, page)` and rotated to resume after
     /// the persistent clock hand, so identically-driven MTLs (the 1-shard
     /// service vs `System` equivalence, split-vs-combined stats runs) pick
-    /// identical victims regardless of hash-map iteration order. Under
-    /// [`EvictionPolicy::Clock`] a set reference bit buys the page one
-    /// sweep of grace (the bit is cleared and the hand moves on); under
-    /// [`EvictionPolicy::ScanOrder`] bits are ignored. Unpinned VBs are
-    /// always swept before pinned ones.
+    /// identical victims regardless of hash-map iteration order. The policy
+    /// is clock / second-chance: a set reference bit buys the page one
+    /// sweep of grace (the bit is cleared and the hand moves on). Unpinned
+    /// VBs are always swept before pinned ones.
     fn reclaim_policy(
         &mut self,
         count: usize,
@@ -1135,14 +1134,13 @@ impl Mtl {
                 None => 0,
             };
             let n = candidates.len();
-            let second_chance = self.config.eviction == EvictionPolicy::Clock;
             for step in 0..2 * n {
                 if reclaimed >= count {
                     break;
                 }
                 let (vb, page) = candidates[(start + step) % n];
                 self.clock_hand = Some((vb, page));
-                if second_chance && self.ref_bits.remove(&(vb, page)) {
+                if self.ref_bits.remove(&(vb, page)) {
                     continue;
                 }
                 if self.swap_out_page(vb, page).is_ok() {

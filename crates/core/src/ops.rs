@@ -23,6 +23,12 @@
 //! construction: same responses, same [`crate::MtlStats`] (proven
 //! property-based in `tests/service_equivalence.rs`).
 //!
+//! A data op that touches memory runs as [`check_data_op`] (protection
+//! check, client state only) then [`run_data_op`] (the MTL half: memory
+//! action, pressure retry, sibling borrowing, fault-in notice, telemetry
+//! sample — each written once). [`execute`], [`store_bytes`] and the
+//! service's batched `submit` all run that one MTL half.
+//!
 //! ## Locking contract
 //!
 //! The engine asks the environment for at most one *kind* of resource at a
@@ -35,12 +41,18 @@
 //! once — environments acquire the two shard locks in shard-index order,
 //! keeping deadlock impossible by construction.
 //!
+//! A batched drain may keep one shard lock across the [`run_data_op`]s of
+//! its run: they make no client callback, and the environment drops the
+//! lock in [`OpEnv::borrow_frames`] and defers [`OpEnv::note_fault_in`].
+//!
 //! Client state additionally splits into a read and a write side:
 //! [`OpEnv::with_client_read`] is the engine's declaration that an op never
 //! mutates client state, which lets the concurrent service answer CVT-cache
 //! hits from a seqlock-published snapshot with **zero** client-lock
 //! acquisitions, falling back to the locked [`cvt_lookup`] path on a miss
 //! or torn read. Control-plane ops always take the write side.
+
+use std::time::Instant;
 
 use crate::addr::{SizeClass, VbiAddress, Vbuid};
 use crate::client::{ClientId, Cvt, CvtEntry, VirtualAddress};
@@ -258,7 +270,7 @@ impl Op {
     /// performs no MTL access), and for empty byte spans (which complete
     /// without any check, like the typed bulk helpers).
     ///
-    /// Batching front ends use this to split an op into its check phase
+    /// [`check_data_op`] uses this to split an op into its check phase
     /// (client locks only) and its MTL phase (home-shard lock only).
     pub fn checked_access(&self) -> Option<(ClientId, VirtualAddress, AccessKind)> {
         match *self {
@@ -547,8 +559,10 @@ pub trait OpEnv {
     /// with [`VbiError::OutOfPhysicalMemory`] *and* its own eviction policy
     /// could not fund the allocation (a shard whose frames all hold
     /// translation structures has nothing reclaimable) — the last resort
-    /// before surfacing the error. Called with no shard lock held, so
-    /// sharded environments are free to visit siblings one at a time.
+    /// before surfacing the error. An environment holding the home shard's
+    /// lock across a batched run drops it here (siblings are visited one
+    /// lock at a time) and retakes it for the retry, so the borrow happens
+    /// at the op's place in the batch.
     /// Single-shard environments have no siblings: the default moves
     /// nothing, keeping them byte-identical to the pre-borrowing engine.
     fn borrow_frames(&mut self, vbuid: Vbuid, count: usize) -> usize {
@@ -560,16 +574,17 @@ pub trait OpEnv {
     /// from the backing store (the accessed page changed frames).
     /// Environments that publish translation state to lock-free readers
     /// must invalidate what they published for (`client`, `index`) — the
-    /// service bumps the slot's seqlock epoch. Called *after* the shard
-    /// lock is released; single-owner environments need nothing.
+    /// service bumps the slot's seqlock epoch, queued until a batched
+    /// run's held shard lock is gone. Single-owner environments need
+    /// nothing.
     fn note_fault_in(&mut self, client: ClientId, index: usize) {
         let _ = (client, index);
     }
 
     /// The environment's telemetry plane, if it has one. When present (and
-    /// armed), [`execute`] records one [`OpSample`] — count, latency
-    /// histogram, optional trace event — per op at its boundaries; `None`
-    /// (the default) costs nothing.
+    /// armed), the engine records one [`OpSample`] — count, latency
+    /// histogram, optional trace event — per op; `None` (the default)
+    /// costs nothing.
     fn telemetry(&self) -> Option<&Telemetry> {
         None
     }
@@ -997,21 +1012,14 @@ fn read_span(mtl: &mut Mtl, address: VbiAddress, len: usize) -> Result<Vec<u8>> 
     (0..len).map(|i| address.offset_by(i as u64).and_then(|a| mtl.read_u8(a))).collect()
 }
 
-/// Runs the MTL half of a checked data-plane op at `address` (the caller
-/// has already performed the protection check that produced the address
-/// and holds the home MTL). This is the single definition of what each
-/// data-plane op does to memory; batching front ends that group checked
-/// ops by home shard call it directly under one shard lock.
-///
-/// # Errors
-///
-/// Any translation error.
+/// The memory action of each data-plane op at its checked `address` — the
+/// single definition of what a data op does to memory.
 ///
 /// # Panics
 ///
 /// Panics if `op` is not a data-plane op (nothing outside
 /// [`Op::checked_access`]'s domain has an MTL half).
-pub fn run_checked(mtl: &mut Mtl, op: &Op, address: VbiAddress) -> OpResult {
+fn run_checked(mtl: &mut Mtl, op: &Op, address: VbiAddress) -> OpResult {
     match op {
         Op::LoadU64 { .. } => mtl.read_u64(address).map(OpOutput::U64),
         Op::StoreU64 { value, .. } => mtl.write_u64(address, *value).map(|()| OpOutput::Unit),
@@ -1023,19 +1031,17 @@ pub fn run_checked(mtl: &mut Mtl, op: &Op, address: VbiAddress) -> OpResult {
     }
 }
 
-/// Runs a fallible MTL action at `address` with the engine's pressure
-/// path wrapped around it: when the action fails for lack of physical
-/// memory, the shard's eviction policy reclaims a batch of resident pages
-/// (write-back to the backing store) — protecting only the page being
-/// accessed, so a VB larger than physical memory can still make progress
-/// by self-eviction — and the action retries once. Reclaim and retry
+/// The engine's pressure retry: runs `f`, and when it fails for lack of
+/// physical memory, the shard's eviction policy reclaims a batch of
+/// resident pages (write-back to the backing store) — protecting only the
+/// page at `address`, so a VB larger than physical memory can still make
+/// progress by self-eviction — and `f` retries once. Reclaim and retry
 /// happen under the *same* MTL acquisition as the first attempt, so no
 /// concurrent allocator can steal the freed frames in between.
 ///
-/// Returns the action's result plus whether serving it faulted pages in
-/// from the backing store (the caller may need to republish translation
-/// state it exposed to lock-free readers).
-pub fn with_pressure<R>(
+/// Returns the result plus whether serving it faulted pages in from the
+/// backing store.
+fn with_pressure<R>(
     mtl: &mut Mtl,
     address: VbiAddress,
     f: impl Fn(&mut Mtl) -> Result<R>,
@@ -1051,91 +1057,130 @@ pub fn with_pressure<R>(
     (result, mtl.stats().faults_in > faults_before)
 }
 
-/// [`run_checked`] with the engine's pressure path: evict-on-allocation-
-/// failure with write-back, then one retry, all under the caller's single
-/// shard-lock hold (see [`with_pressure`]). Batching front ends call this
-/// instead of [`run_checked`] so oversubscribed batches behave exactly
-/// like the synchronous path.
+/// An op's memory action under the pressure retry on a bare [`Mtl`] (no
+/// borrowing, fault-in notice or telemetry), plus whether pages faulted
+/// in — for harnesses that time the memory action alone. Front ends use
+/// [`execute`] or [`run_data_op`].
 pub fn run_checked_pressured(mtl: &mut Mtl, op: &Op, address: VbiAddress) -> (OpResult, bool) {
     with_pressure(mtl, address, |mtl| run_checked(mtl, op, address))
 }
 
-/// Stack-local scratch the engine fills while an op runs so the telemetry
-/// plane can label the op's trace event after the fact: which VB it
-/// resolved to, and its outcome flags. Costs a few stack stores; nothing
-/// when the caller discards it.
-#[derive(Debug, Default)]
-struct TraceScratch {
-    /// The VB the op resolved to (data plane: from the protection check).
-    vbuid: Option<Vbuid>,
-    /// [`TraceEvent`] flag bits accumulated so far.
-    flags: u8,
-    /// Whether to measure the eviction delta (only worth an extra stats
-    /// read when tracing is on).
-    trace_evictions: bool,
+/// A data-plane op past its protection check, carrying what its telemetry
+/// sample needs: built by [`check_data_op`], consumed by [`run_data_op`].
+#[derive(Debug)]
+pub struct CheckedOp {
+    kind: OpKind,
+    client: ClientId,
+    va: VirtualAddress,
+    check: Result<CheckedAccess>,
+    /// Whether the telemetry plane was armed when the op started.
+    armed: bool,
+    /// The op's clock start, when telemetry elected to time it.
+    start: Option<Instant>,
 }
 
-/// Runs the MTL half of a checked data-plane op under one home-MTL
-/// acquisition, with the pressure path wrapped around it. Returns the
-/// result plus whether the attempt faulted pages in and (when measured)
-/// evicted any.
-fn mtl_half<E: OpEnv>(
+impl CheckedOp {
+    /// The VB the check resolved to; `None` when the check failed, so the
+    /// op has no MTL half.
+    pub fn vbuid(&self) -> Option<Vbuid> {
+        self.check.as_ref().ok().map(|checked| checked.address.vbuid())
+    }
+}
+
+/// Starts a data op: decides whether telemetry times it, starts its clock,
+/// and runs its protection check.
+fn check<E: OpEnv>(
     env: &mut E,
-    op: &Op,
-    address: VbiAddress,
-    want_evictions: bool,
-) -> (OpResult, bool, bool) {
-    env.with_home_mtl(address.vbuid(), |mtl| {
-        let evictions_before = if want_evictions { mtl.stats().evictions } else { 0 };
-        let (result, faulted) = run_checked_pressured(mtl, op, address);
-        let evicted = want_evictions && mtl.stats().evictions > evictions_before;
-        (result, faulted, evicted)
-    })
+    kind: OpKind,
+    client: ClientId,
+    va: VirtualAddress,
+    access_kind: AccessKind,
+) -> CheckedOp {
+    let armed = env.telemetry().is_some_and(Telemetry::armed);
+    let start = (armed && env.telemetry().is_some_and(Telemetry::should_time)).then(Instant::now);
+    let check = access(env, client, va, access_kind);
+    CheckedOp { kind, client, va, check, armed, start }
 }
 
-/// Executes a data-plane op end to end: protection check, then the MTL
-/// half ([`run_checked`]) under the home MTL — with the pressure path
-/// wrapped around it, and the environment notified afterwards when pages
-/// faulted in. When the home shard is out of memory even after its own
-/// eviction sweep, the environment may borrow free capacity from sibling
-/// shards ([`OpEnv::borrow_frames`], taken with no lock held) and the op
-/// retries once. Empty byte spans complete without any check, like the
-/// typed bulk helpers.
-fn data_plane<E: OpEnv>(env: &mut E, op: &Op, scratch: &mut TraceScratch) -> OpResult {
-    match op.checked_access() {
-        Some((client, va, kind)) => {
-            let checked = access(env, client, va, kind)?;
-            scratch.vbuid = Some(checked.address.vbuid());
+/// The check phase of a data op that touches memory (client state only);
+/// `None` for ops with no MTL half ([`Op::checked_access`]).
+pub fn check_data_op<E: OpEnv>(env: &mut E, op: &Op) -> Option<CheckedOp> {
+    let (client, va, kind) = op.checked_access()?;
+    Some(check(env, OpKind::of(op), client, va, kind))
+}
+
+/// Runs the MTL half of a checked data-plane op end to end — the one
+/// place each of these steps lives:
+///
+/// 1. the op's memory action at the checked address under one home-MTL
+///    hold, with the pressure retry: evict a batch on allocation failure,
+///    then retry once under the same hold;
+/// 2. when the home shard is still out of memory, borrowing from sibling
+///    shards ([`OpEnv::borrow_frames`]) and one more attempt;
+/// 3. the fault-in notice ([`OpEnv::note_fault_in`]) when pages faulted in;
+/// 4. the op's one telemetry sample, with its error, fault-in, evict and
+///    CVT-fallback flags.
+///
+/// A failed check skips straight to the sample. `op` must be the op
+/// `checked` was built from.
+pub fn run_data_op<E: OpEnv>(env: &mut E, op: &Op, checked: CheckedOp) -> OpResult {
+    run_data(env, checked, |mtl, address| run_checked(mtl, op, address))
+}
+
+/// The body of [`run_data_op`], generic over the memory action so that
+/// [`store_bytes`] can write its borrowed slice without cloning it.
+fn run_data<E: OpEnv, R>(
+    env: &mut E,
+    op: CheckedOp,
+    act: impl Fn(&mut Mtl, VbiAddress) -> Result<R>,
+) -> Result<R> {
+    let mut flags = 0;
+    let mut vbuid = None;
+    let result = match op.check {
+        Err(e) => Err(e),
+        Ok(checked) => {
+            let address = checked.address;
+            vbuid = Some(address.vbuid());
             if !checked.cvt_cache_hit {
-                scratch.flags |= TraceEvent::FLAG_CVT_FALLBACK;
+                flags |= TraceEvent::FLAG_CVT_FALLBACK;
             }
-            let want_evictions = scratch.trace_evictions;
-            let (mut result, mut faulted, mut evicted) =
-                mtl_half(env, op, checked.address, want_evictions);
+            let want_evictions =
+                op.armed && env.telemetry().is_some_and(Telemetry::tracing_enabled);
+            let attempt = |env: &mut E| {
+                env.with_home_mtl(address.vbuid(), |mtl| {
+                    let evictions_before = if want_evictions { mtl.stats().evictions } else { 0 };
+                    let (result, faulted) = with_pressure(mtl, address, |mtl| act(mtl, address));
+                    let evicted = want_evictions && mtl.stats().evictions > evictions_before;
+                    (result, faulted, evicted)
+                })
+            };
+            let (mut result, mut faulted, mut evicted) = attempt(env);
             if matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
                 let batch = env.config().pressure_reclaim_batch.max(1);
-                if env.borrow_frames(checked.address.vbuid(), batch) > 0 {
-                    let (r, f, e) = mtl_half(env, op, checked.address, want_evictions);
+                if env.borrow_frames(address.vbuid(), batch) > 0 {
+                    let (r, f, e) = attempt(env);
                     result = r;
                     faulted |= f;
                     evicted |= e;
                 }
             }
             if faulted {
-                scratch.flags |= TraceEvent::FLAG_FAULT_IN;
-                env.note_fault_in(client, va.cvt_index());
+                flags |= TraceEvent::FLAG_FAULT_IN;
+                env.note_fault_in(op.client, op.va.cvt_index());
             }
             if evicted {
-                scratch.flags |= TraceEvent::FLAG_EVICT;
+                flags |= TraceEvent::FLAG_EVICT;
             }
             result
         }
-        None => match op {
-            Op::LoadBytes { .. } => Ok(OpOutput::Bytes(Vec::new())),
-            Op::StoreBytes { .. } => Ok(OpOutput::Unit),
-            _ => unreachable!("{op:?} is not a data-plane op"),
-        },
+    };
+    if op.armed {
+        if result.is_err() {
+            flags |= TraceEvent::FLAG_ERROR;
+        }
+        record_sample(env, op.kind, Some(op.client), vbuid, flags, op.start);
     }
+    result
 }
 
 /// Protection-checked functional load of a `u64`.
@@ -1144,7 +1189,7 @@ fn data_plane<E: OpEnv>(env: &mut E, op: &Op, scratch: &mut TraceScratch) -> OpR
 ///
 /// Any protection or translation error.
 pub fn load_u64<E: OpEnv>(env: &mut E, client: ClientId, va: VirtualAddress) -> Result<u64> {
-    match data_plane(env, &Op::LoadU64 { client, va }, &mut TraceScratch::default())? {
+    match execute(env, Op::LoadU64 { client, va })? {
         OpOutput::U64(v) => Ok(v),
         _ => unreachable!("load returns a u64"),
     }
@@ -1161,7 +1206,7 @@ pub fn store_u64<E: OpEnv>(
     va: VirtualAddress,
     value: u64,
 ) -> Result<()> {
-    data_plane(env, &Op::StoreU64 { client, va, value }, &mut TraceScratch::default()).map(|_| ())
+    execute(env, Op::StoreU64 { client, va, value }).map(|_| ())
 }
 
 /// Protection-checked functional load of one byte.
@@ -1170,7 +1215,7 @@ pub fn store_u64<E: OpEnv>(
 ///
 /// Any protection or translation error.
 pub fn load_u8<E: OpEnv>(env: &mut E, client: ClientId, va: VirtualAddress) -> Result<u8> {
-    match data_plane(env, &Op::LoadU8 { client, va }, &mut TraceScratch::default())? {
+    match execute(env, Op::LoadU8 { client, va })? {
         OpOutput::U8(v) => Ok(v),
         _ => unreachable!("load returns a byte"),
     }
@@ -1187,7 +1232,7 @@ pub fn store_u8<E: OpEnv>(
     va: VirtualAddress,
     value: u8,
 ) -> Result<()> {
-    data_plane(env, &Op::StoreU8 { client, va, value }, &mut TraceScratch::default()).map(|_| ())
+    execute(env, Op::StoreU8 { client, va, value }).map(|_| ())
 }
 
 /// Protection-checked instruction fetch (returns the byte; fetch width is
@@ -1197,7 +1242,7 @@ pub fn store_u8<E: OpEnv>(
 ///
 /// Any protection or translation error.
 pub fn fetch<E: OpEnv>(env: &mut E, client: ClientId, va: VirtualAddress) -> Result<u8> {
-    match data_plane(env, &Op::Fetch { client, va }, &mut TraceScratch::default())? {
+    match execute(env, Op::Fetch { client, va })? {
         OpOutput::U8(v) => Ok(v),
         _ => unreachable!("fetch returns a byte"),
     }
@@ -1220,58 +1265,10 @@ pub fn store_bytes<E: OpEnv>(
     if data.is_empty() {
         return Ok(());
     }
-    // This is the one op-shaped path that bypasses `execute` (to spare the
-    // caller's slice a clone), so it carries the same telemetry boundary.
-    let armed = env.telemetry().is_some_and(Telemetry::armed);
-    let mut scratch = TraceScratch {
-        trace_evictions: armed && env.telemetry().is_some_and(Telemetry::tracing_enabled),
-        ..TraceScratch::default()
-    };
-    let timed = armed && env.telemetry().is_some_and(Telemetry::should_time);
-    let start = timed.then(std::time::Instant::now);
-    let result = store_bytes_inner(env, client, va, data, &mut scratch);
-    if armed {
-        if result.is_err() {
-            scratch.flags |= TraceEvent::FLAG_ERROR;
-        }
-        record_sample(env, OpKind::StoreBytes, Some(client), &scratch, start);
-    }
-    result
-}
-
-fn store_bytes_inner<E: OpEnv>(
-    env: &mut E,
-    client: ClientId,
-    va: VirtualAddress,
-    data: &[u8],
-    scratch: &mut TraceScratch,
-) -> Result<()> {
     // Not routed through an `Op` to spare the caller's slice a clone; the
     // span semantics still live once, in `write_span`.
-    let checked = access(env, client, va, AccessKind::Write)?;
-    scratch.vbuid = Some(checked.address.vbuid());
-    if !checked.cvt_cache_hit {
-        scratch.flags |= TraceEvent::FLAG_CVT_FALLBACK;
-    }
-    let attempt = |env: &mut E| {
-        env.with_home_mtl(checked.address.vbuid(), |mtl| {
-            with_pressure(mtl, checked.address, |mtl| write_span(mtl, checked.address, data))
-        })
-    };
-    let (mut result, mut faulted) = attempt(env);
-    if matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
-        let batch = env.config().pressure_reclaim_batch.max(1);
-        if env.borrow_frames(checked.address.vbuid(), batch) > 0 {
-            let (r, f) = attempt(env);
-            result = r;
-            faulted |= f;
-        }
-    }
-    if faulted {
-        scratch.flags |= TraceEvent::FLAG_FAULT_IN;
-        env.note_fault_in(client, va.cvt_index());
-    }
-    result
+    let checked = check(env, OpKind::StoreBytes, client, va, AccessKind::Write);
+    run_data(env, checked, |mtl, address| write_span(mtl, address, data))
 }
 
 /// Reads `len` bytes from a VB through the checked load path — one
@@ -1286,7 +1283,7 @@ pub fn load_bytes<E: OpEnv>(
     va: VirtualAddress,
     len: usize,
 ) -> Result<Vec<u8>> {
-    match data_plane(env, &Op::LoadBytes { client, va, len }, &mut TraceScratch::default())? {
+    match execute(env, Op::LoadBytes { client, va, len })? {
         OpOutput::Bytes(bytes) => Ok(bytes),
         _ => unreachable!("load returns bytes"),
     }
@@ -1358,8 +1355,9 @@ fn record_sample<E: OpEnv>(
     env: &E,
     kind: OpKind,
     client: Option<ClientId>,
-    scratch: &TraceScratch,
-    start: Option<std::time::Instant>,
+    vbuid: Option<Vbuid>,
+    flags: u8,
+    start: Option<Instant>,
 ) {
     let duration_ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
     let shards = env.shard_count();
@@ -1369,11 +1367,11 @@ fn record_sample<E: OpEnv>(
         telemetry.record(OpSample {
             kind,
             client: client.map_or(u32::MAX, |c| u32::from(c.0)),
-            vbid: scratch.vbuid.map_or(0, |v| v.vbid()),
-            shard: scratch.vbuid.map_or(0, |v| Mtl::shard_of(v, shards) as u16),
+            vbid: vbuid.map_or(0, |v| v.vbid()),
+            shard: vbuid.map_or(0, |v| Mtl::shard_of(v, shards) as u16),
             start_ns,
             duration_ns,
-            flags: scratch.flags,
+            flags,
             timed: start.is_some(),
         });
     }
@@ -1383,40 +1381,37 @@ fn record_sample<E: OpEnv>(
 /// every front end (synchronous, batched, queued) funnels through.
 ///
 /// When the environment exposes an armed [`Telemetry`] plane, the op's
-/// kind, latency, and outcome are recorded here, at the one boundary every
-/// front end shares; with telemetry off (or absent) the only cost is one
-/// relaxed atomic load.
+/// kind, latency, and outcome are recorded once: data ops that touch
+/// memory record in [`run_data_op`], every other op here. With telemetry
+/// off (or absent) the only cost is one relaxed atomic load.
 pub fn execute<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
+    if let Some(checked) = check_data_op(env, &op) {
+        return run_data_op(env, &op, checked);
+    }
     if env.telemetry().is_some_and(Telemetry::armed) {
         execute_recorded(env, op)
     } else {
-        dispatch(env, op, &mut TraceScratch::default())
+        dispatch(env, op)
     }
 }
 
 fn execute_recorded<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
     let kind = OpKind::of(&op);
     let client = op.client();
-    let mut scratch = TraceScratch {
-        vbuid: op.vbuid(),
-        trace_evictions: env.telemetry().is_some_and(Telemetry::tracing_enabled),
-        ..TraceScratch::default()
-    };
+    let mut vbuid = op.vbuid();
     let timed = env.telemetry().is_some_and(Telemetry::should_time);
-    let start = timed.then(std::time::Instant::now);
-    let result = dispatch(env, op, &mut scratch);
+    let start = timed.then(Instant::now);
+    let result = dispatch(env, op);
     // Remaps and requests name their VB in the result, not the op.
     if let Ok(OpOutput::Handle(handle)) = &result {
-        scratch.vbuid = Some(handle.vbuid);
+        vbuid = Some(handle.vbuid);
     }
-    if result.is_err() {
-        scratch.flags |= TraceEvent::FLAG_ERROR;
-    }
-    record_sample(env, kind, client, &scratch, start);
+    let flags = if result.is_err() { TraceEvent::FLAG_ERROR } else { 0 };
+    record_sample(env, kind, client, vbuid, flags, start);
     result
 }
 
-fn dispatch<E: OpEnv>(env: &mut E, op: Op, scratch: &mut TraceScratch) -> OpResult {
+fn dispatch<E: OpEnv>(env: &mut E, op: Op) -> OpResult {
     match op {
         Op::CreateClient => create_client(env).map(OpOutput::Client),
         Op::CreateClientWithId { id } => create_client_with_id(env, id).map(OpOutput::Client),
@@ -1438,12 +1433,14 @@ fn dispatch<E: OpEnv>(env: &mut E, op: Op, scratch: &mut TraceScratch) -> OpResu
             migrate(env, client, index, to_shard).map(OpOutput::Handle)
         }
         Op::Access { client, va, kind } => access(env, client, va, kind).map(OpOutput::Checked),
+        // Every data op that touches memory ran in `execute`; what reaches
+        // here is an empty byte span, which completes without any check.
+        Op::LoadBytes { .. } => Ok(OpOutput::Bytes(Vec::new())),
+        Op::StoreBytes { .. } => Ok(OpOutput::Unit),
         Op::Fetch { .. }
         | Op::LoadU64 { .. }
         | Op::StoreU64 { .. }
         | Op::LoadU8 { .. }
-        | Op::StoreU8 { .. }
-        | Op::LoadBytes { .. }
-        | Op::StoreBytes { .. } => data_plane(env, &op, scratch),
+        | Op::StoreU8 { .. } => unreachable!("{op:?} runs in `execute`"),
     }
 }

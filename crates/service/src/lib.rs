@@ -29,7 +29,8 @@
 //!   any number of reader threads;
 //! * a **batched request path** ([`VbiService::submit`]) over the full
 //!   [`Op`] surface that performs protection checks first and visits each
-//!   shard once per run of data-plane ops, amortizing lock traffic;
+//!   shard once per run of data-plane ops, amortizing lock traffic, while
+//!   each op runs the engine's one data-op path;
 //! * the **VB-remap family behind the service API**: `Op::Promote`,
 //!   `Op::CloneVb`, and cross-shard `Op::Migrate` (§4.2.2/§6.2) execute
 //!   through the shared engine, taking the source and destination shard
@@ -82,7 +83,9 @@
 //!   No path acquires a map lock while holding a client or shard lock.
 //! * client-state → MTL-shard: no path acquires a client lock while
 //!   holding a shard lock (the engine's [`OpEnv`] contract — each state
-//!   callback is entered and exited before the next).
+//!   callback is entered and exited before the next). A batched drain
+//!   holds one shard lock across its run and queues fault-in
+//!   invalidations until it lets go.
 //! * The one path holding two MTL-shard locks is the VB-remap family's
 //!   `OpEnv::with_mtl_pair` (a migration's source + destination), always
 //!   in shard-index order; the frame-borrowing fallback
@@ -125,16 +128,16 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use vbi_core::addr::{SizeClass, VbiAddress, Vbuid};
+use vbi_core::addr::{SizeClass, Vbuid};
 use vbi_core::client::{ClientId, ClientIdAllocator, Cvt, CvtEntry};
 use vbi_core::config::VbiConfig;
 use vbi_core::cvt_cache::{ClientCvtCache, CvtCacheStats};
 use vbi_core::error::{Result, VbiError};
 use vbi_core::mtl::{Mtl, MtlAccess};
-use vbi_core::ops::{self, Op, OpEnv, OpResult};
+use vbi_core::ops::{self, CheckedOp, Op, OpEnv, OpResult};
 use vbi_core::session::{ClientSession, SessionHost};
 use vbi_core::stats::MtlStats;
-use vbi_core::telemetry::{OpKind, OpSample, Snapshot, Telemetry, TraceEvent};
+use vbi_core::telemetry::{Snapshot, Telemetry};
 use vbi_core::tlb::TlbStats;
 use vbi_core::vb::VbProperties;
 
@@ -168,14 +171,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Machine configuration; `phys_frames` is the machine total.
     pub base: VbiConfig,
-    /// Whether read-kind protection checks may be answered lock-free from
-    /// the seqlock-published CVT cache (default `true`). `false` forces
-    /// every check through the locked path — the baseline the `read_path`
-    /// bench compares against. Client resolution always goes through the
-    /// epoch-validated published tables of the sharded client map, so with
-    /// this on, a CVT-cache-hit read acquires **zero** shared locks end to
-    /// end.
-    pub lockfree_reads: bool,
     /// Factory for each shard's backing store, run once per shard at
     /// construction (default `None` = the in-memory
     /// [`vbi_core::swap::BackingStore`]). A plain `fn` pointer keeps the
@@ -187,20 +182,13 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// A `shards`-way service over `base`.
     pub fn new(shards: usize, base: VbiConfig) -> Self {
-        Self { shards, base, lockfree_reads: true, backing: None }
+        Self { shards, base, backing: None }
     }
 
     /// The degenerate single-shard service — byte- and stats-identical to
     /// a [`vbi_core::System`] under single-threaded driving.
     pub fn single(base: VbiConfig) -> Self {
         Self::new(1, base)
-    }
-
-    /// Selects whether the lock-free read path is used (see
-    /// [`ServiceConfig::lockfree_reads`]).
-    pub fn with_lockfree_reads(mut self, enabled: bool) -> Self {
-        self.lockfree_reads = enabled;
-        self
     }
 
     /// Installs a per-shard backing-store factory (see
@@ -297,37 +285,76 @@ const _: () = {
 
 /// The service's [`OpEnv`]: the engine runs against lock-protected state.
 ///
-/// A zero-cost view over a `&VbiService`; the `&mut self` receivers the
-/// trait requires are satisfied by the wrapper while all mutation goes
-/// through the service's locks.
-struct ServiceEnv<'a>(&'a VbiService);
+/// A view over a `&VbiService`; the `&mut self` receivers the trait
+/// requires are satisfied by the wrapper while all mutation goes through
+/// the service's locks. A batched drain also parks one shard's guard here
+/// for the length of a run ([`ServiceEnv::hold`]).
+struct ServiceEnv<'a> {
+    svc: &'a VbiService,
+    /// Set while a batched drain runs a shard's group.
+    held: Option<HeldShard<'a>>,
+}
+
+/// What a batched drain holds across its run.
+struct HeldShard<'a> {
+    shard: usize,
+    /// Reused by `with_home_mtl` on `shard` instead of locking.
+    guard: MutexGuard<'a, Mtl>,
+    /// Fault-in invalidations queued under the guard: they take client
+    /// locks, which must never be acquired under a shard lock.
+    faulted: Vec<(ClientId, usize)>,
+}
+
+impl<'a> ServiceEnv<'a> {
+    fn new(svc: &'a VbiService) -> Self {
+        Self { svc, held: None }
+    }
+
+    /// Locks `shard` and keeps its guard until [`ServiceEnv::release`].
+    fn hold(&mut self, shard: usize) {
+        debug_assert!(self.held.is_none(), "one shard guard at a time");
+        self.held =
+            Some(HeldShard { shard, guard: self.svc.lock_shard(shard), faulted: Vec::new() });
+    }
+
+    /// Drops the held guard, if any, then runs the fault-in invalidations
+    /// queued under it. Returns the shard that was held.
+    fn release(&mut self) -> Option<usize> {
+        let HeldShard { shard, guard, faulted } = self.held.take()?;
+        drop(guard);
+        for (client, index) in faulted {
+            self.svc.invalidate_published(client, index);
+        }
+        Some(shard)
+    }
+}
 
 impl OpEnv for ServiceEnv<'_> {
     fn config(&self) -> &VbiConfig {
-        &self.0.inner.config.base
+        &self.svc.inner.config.base
     }
 
     fn alloc_client_id(&mut self) -> Result<ClientId> {
-        unpoison(self.0.inner.ids.lock()).allocate()
+        unpoison(self.svc.inner.ids.lock()).allocate()
     }
 
     fn release_client_id(&mut self, id: ClientId) {
-        unpoison(self.0.inner.ids.lock()).release(id);
+        unpoison(self.svc.inner.ids.lock()).release(id);
     }
 
     fn try_insert_client(&mut self, id: ClientId, cvt: Cvt) -> bool {
-        self.0.inner.clients.insert(id, cvt)
+        self.svc.inner.clients.insert(id, cvt)
     }
 
     fn take_client_vbuids(&mut self, id: ClientId) -> Result<Vec<Vbuid>> {
-        let (index, slot) = self.0.inner.clients.remove(id)?;
+        let (index, slot) = self.svc.inner.clients.remove(id)?;
         let vbuids = {
             let st = slot.lock();
             st.cvt.iter().map(|(_, entry)| entry.vbuid()).collect()
         };
         // Only now may the slot be re-claimed: recycling before the CVT
         // read could hand the arena index to a racing create.
-        self.0.inner.clients.recycle(index);
+        self.svc.inner.clients.recycle(index);
         Ok(vbuids)
     }
 
@@ -336,7 +363,7 @@ impl OpEnv for ServiceEnv<'_> {
         id: ClientId,
         f: impl FnOnce(&mut Cvt, &mut dyn vbi_core::cvt_cache::ClientCvtCache) -> R,
     ) -> Result<R> {
-        let slot = self.0.inner.clients.resolve(id)?;
+        let slot = self.svc.inner.clients.resolve(id)?;
         let mut st = slot.lock();
         // The slot may have been recycled for another client between the
         // lock-free resolution and the lock: mutate only on proof of
@@ -349,24 +376,20 @@ impl OpEnv for ServiceEnv<'_> {
     }
 
     fn with_client_read(&mut self, id: ClientId, index: usize) -> Result<(CvtEntry, bool)> {
-        let inner = &self.0.inner;
-        if inner.config.lockfree_reads {
-            // Fast path: map resolution *and* the published CVT-cache
-            // probe inside one epoch-validated window — zero shared locks,
-            // nothing mutated but atomic stat counters. Validating the map
-            // generation after the cache probe makes slot recycling
-            // invisible: destroying the read client bumps its map shard's
-            // generation, so a hit here is proof the client was live with
-            // this exact published entry.
-            if let Some(entry) =
-                inner.clients.read_published(id, |slot| slot.reads.lookup_lockfree(index))
-            {
-                return Ok((entry, true));
-            }
+        let inner = &self.svc.inner;
+        // Fast path: map resolution *and* the published CVT-cache probe
+        // inside one epoch-validated window — zero shared locks, nothing
+        // mutated but atomic stat counters. Validating the map generation
+        // after the cache probe makes slot recycling invisible: destroying
+        // the read client bumps its map shard's generation, so a hit here
+        // is proof the client was live with this exact published entry.
+        if let Some(entry) =
+            inner.clients.read_published(id, |slot| slot.reads.lookup_lockfree(index))
+        {
+            return Ok((entry, true));
         }
-        // Slow path (miss, torn read, unpublished client, or lock-free
-        // reads disabled): the locked authoritative lookup, identical to
-        // every other front end.
+        // Slow path (miss, torn read, unpublished client): the locked
+        // authoritative lookup, identical to every other front end.
         let slot = inner.clients.resolve(id)?;
         let mut st = slot.lock();
         if st.cvt.client() != id {
@@ -377,20 +400,26 @@ impl OpEnv for ServiceEnv<'_> {
     }
 
     fn with_home_mtl<R>(&mut self, vbuid: Vbuid, f: impl FnOnce(&mut Mtl) -> R) -> R {
-        let shard = self.0.shard_of(vbuid);
-        self.0.inner.shards[shard].ops.fetch_add(1, Ordering::Relaxed);
-        f(&mut self.0.lock_shard(shard))
+        let shard = self.svc.shard_of(vbuid);
+        self.svc.inner.shards[shard].ops.fetch_add(1, Ordering::Relaxed);
+        match &mut self.held {
+            Some(held) if held.shard == shard => f(&mut held.guard),
+            held => {
+                debug_assert!(held.is_none(), "a drain only runs ops homed on its shard");
+                f(&mut self.svc.lock_shard(shard))
+            }
+        }
     }
 
     fn place_vb(&mut self, size_class: SizeClass, props: VbProperties) -> Result<Vbuid> {
         // Round-robin placement, falling over to the next shard when one
         // VBID slice or memory pool is exhausted.
-        let count = self.0.inner.shards.len();
-        let start = self.0.inner.placement.fetch_add(1, Ordering::Relaxed) % count;
+        let count = self.svc.inner.shards.len();
+        let start = self.svc.inner.placement.fetch_add(1, Ordering::Relaxed) % count;
         let mut last_err = VbiError::OutOfVirtualBlocks(size_class);
         for probe in 0..count {
             let shard = (start + probe) % count;
-            let mut mtl = self.0.lock_shard(shard);
+            let mut mtl = self.svc.lock_shard(shard);
             match mtl.find_free_vb(size_class).and_then(|vb| {
                 mtl.enable_vb(vb, props)?;
                 Ok(vb)
@@ -403,7 +432,7 @@ impl OpEnv for ServiceEnv<'_> {
     }
 
     fn shard_count(&self) -> usize {
-        self.0.inner.shards.len()
+        self.svc.inner.shards.len()
     }
 
     fn place_vb_on(
@@ -412,11 +441,11 @@ impl OpEnv for ServiceEnv<'_> {
         size_class: SizeClass,
         props: VbProperties,
     ) -> Result<Vbuid> {
-        let shards = self.0.inner.shards.len();
+        let shards = self.svc.inner.shards.len();
         if shard >= shards {
             return Err(VbiError::InvalidShard { shard, shards });
         }
-        let mut mtl = self.0.lock_shard(shard);
+        let mut mtl = self.svc.lock_shard(shard);
         let vb = mtl.find_free_vb(size_class)?;
         mtl.enable_vb(vb, props)?;
         Ok(vb)
@@ -428,19 +457,19 @@ impl OpEnv for ServiceEnv<'_> {
         dst: Vbuid,
         f: impl FnOnce(&mut Mtl, Option<&mut Mtl>) -> R,
     ) -> R {
-        let (a, b) = (self.0.shard_of(src), self.0.shard_of(dst));
+        let (a, b) = (self.svc.shard_of(src), self.svc.shard_of(dst));
         // A remap is MTL work on every shard it touches: count it on both
         // sides (once when they coincide) so `ShardLoad::ops_executed`
         // reflects where the work actually ran.
-        self.0.inner.shards[a].ops.fetch_add(1, Ordering::Relaxed);
+        self.svc.inner.shards[a].ops.fetch_add(1, Ordering::Relaxed);
         if a == b {
-            return f(&mut self.0.lock_shard(a), None);
+            return f(&mut self.svc.lock_shard(a), None);
         }
-        self.0.inner.shards[b].ops.fetch_add(1, Ordering::Relaxed);
+        self.svc.inner.shards[b].ops.fetch_add(1, Ordering::Relaxed);
         // Two shards: always lock in shard-index order so concurrent remaps
         // (A→B racing B→A) can never deadlock.
-        let mut first = self.0.lock_shard(a.min(b));
-        let mut second = self.0.lock_shard(a.max(b));
+        let mut first = self.svc.lock_shard(a.min(b));
+        let mut second = self.svc.lock_shard(a.max(b));
         if a < b {
             f(&mut first, Some(&mut second))
         } else {
@@ -454,7 +483,7 @@ impl OpEnv for ServiceEnv<'_> {
         // bumps the client's seqlock epoch (via `invalidate`), so lock-free
         // readers can never serve a stale or torn entry for the moved VB.
         let mut moved = 0;
-        for (id, slot) in self.0.inner.clients.live() {
+        for (id, slot) in self.svc.inner.clients.live() {
             let mut st = slot.lock();
             // A client destroyed (and its slot possibly recycled) since the
             // snapshot has no entries to redirect; skip rather than touch a
@@ -476,22 +505,31 @@ impl OpEnv for ServiceEnv<'_> {
         // entry itself (VBUID, permissions) is still valid, but the
         // published cache slot must not outlive the frame move unnoticed:
         // invalidating bumps the seqlock epoch, forcing lock-free readers
-        // of this slot back onto the authoritative locked path. Called
-        // with no shard lock held (client locks only — same order as
-        // `redirect_clients`).
-        self.0.invalidate_published(client, index);
+        // of this slot back onto the authoritative locked path. It takes
+        // the client lock, so under a drain's shard guard it waits for
+        // `release`.
+        match &mut self.held {
+            Some(held) => held.faulted.push((client, index)),
+            None => self.svc.invalidate_published(client, index),
+        }
     }
 
     fn borrow_frames(&mut self, vbuid: Vbuid, count: usize) -> usize {
         // Called by the engine after an op hit OutOfPhysicalMemory *and*
         // eviction on the home shard came up empty (the residents are
-        // structures, not reclaimable data pages). No lock is held here;
-        // capacity moves from sibling shards one lock at a time.
-        self.0.borrow_frames_for_shard(self.0.shard_of(vbuid), count)
+        // structures, not reclaimable data pages). Capacity moves from
+        // sibling shards one lock at a time, so a drain's guard is dropped
+        // first and taken again for the op's retry and the rest of its run.
+        let held = self.release();
+        let moved = self.svc.borrow_frames_for_shard(self.svc.shard_of(vbuid), count);
+        if let Some(shard) = held {
+            self.hold(shard);
+        }
+        moved
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.0.inner.telemetry)
+        Some(&self.svc.inner.telemetry)
     }
 }
 
@@ -593,7 +631,7 @@ impl VbiService {
     /// service's sharded state — the single entry point the sessions,
     /// [`VbiService::submit`], and [`VbiQueue`] workers all funnel through.
     pub fn execute(&self, op: Op) -> OpResult {
-        ops::execute(&mut ServiceEnv(self), op)
+        ops::execute(&mut ServiceEnv::new(self), op)
     }
 
     // --- clients ------------------------------------------------------------
@@ -606,7 +644,7 @@ impl VbiService {
     ///
     /// Returns [`VbiError::OutOfClients`] when all 2^16 IDs are live.
     pub fn create_client(&self) -> Result<ServiceSession> {
-        let id = ops::create_client(&mut ServiceEnv(self))?;
+        let id = ops::create_client(&mut ServiceEnv::new(self))?;
         Ok(ClientSession::bind(self.clone(), id))
     }
 
@@ -616,7 +654,7 @@ impl VbiService {
     ///
     /// Returns [`VbiError::InvalidClient`] if the ID is already live.
     pub fn create_client_with_id(&self, id: ClientId) -> Result<ServiceSession> {
-        let id = ops::create_client_with_id(&mut ServiceEnv(self), id)?;
+        let id = ops::create_client_with_id(&mut ServiceEnv::new(self), id)?;
         Ok(ClientSession::bind(self.clone(), id))
     }
 
@@ -640,56 +678,39 @@ impl VbiService {
 
     /// Executes a batch over the **full op surface**, visiting each shard
     /// at most once per run of data-plane ops: protection checks run first
-    /// (lock-free for cached reads, client locks otherwise), checked
-    /// accesses are grouped by home shard, and each shard lock is taken a
-    /// single time for its whole group, running the deferred MTL halves
-    /// through [`vbi_core::ops::run_checked`] — the engine's single
-    /// definition of each op's memory effect. MTL-free ops (`Access`,
-    /// empty byte spans) answer inline at their batch position.
-    /// Control-plane ops (client/VB management) act as sequencing
-    /// barriers: pending data ops drain before they execute, so a batch
-    /// behaves like its sequential execution. Responses come back in
-    /// request order.
+    /// ([`vbi_core::ops::check_data_op`] — lock-free for cached reads,
+    /// client locks otherwise), checked ops are grouped by home shard, and
+    /// each shard lock is taken a single time for its whole group, which
+    /// runs through [`vbi_core::ops::run_data_op`] — the engine's one
+    /// data-op path, the same one [`VbiService::execute`] takes. A group's
+    /// ops therefore evict, borrow sibling frames, notify fault-ins and
+    /// record telemetry exactly as single ops do; an op that must borrow
+    /// releases the shard lock for the borrow and retakes it, so the
+    /// borrow happens at the op's place in the batch. An op whose check
+    /// fails is answered at once. MTL-free ops (`Access`, empty byte
+    /// spans) answer inline at their batch position. Control-plane ops
+    /// (client/VB management) act as sequencing barriers: pending data ops
+    /// drain before they execute, so a batch behaves like its sequential
+    /// execution. Responses come back in request order.
     ///
     /// Within a run of data-plane ops, requests targeting one shard
     /// execute in batch order; there is no ordering guarantee *across*
     /// shards (as in hardware, independent MTLs serve independent
     /// traffic).
     pub fn submit(&self, batch: &[Op]) -> Vec<OpResult> {
-        let shard_count = self.inner.shards.len();
         let mut responses: Vec<Option<OpResult>> = batch.iter().map(|_| None).collect();
-        // Per shard: (batch index, checked address) of deferred data ops.
-        let mut pending: Vec<Vec<(usize, VbiAddress)>> = Vec::new();
-        pending.resize_with(shard_count, Vec::new);
+        // Per shard: (batch index, checked op) of deferred MTL halves.
+        let mut pending: Vec<Vec<(usize, CheckedOp)>> = Vec::new();
+        pending.resize_with(self.inner.shards.len(), Vec::new);
+        let mut env = ServiceEnv::new(self);
 
         for (i, op) in batch.iter().enumerate() {
-            if let Some((client, va, kind)) = op.checked_access() {
-                // Data-plane: check now (client locks only), defer the MTL
-                // half to the per-shard drain.
-                match ops::access(&mut ServiceEnv(self), client, va, kind) {
-                    Ok(checked) => {
-                        let shard = Mtl::shard_of(checked.address.vbuid(), shard_count);
-                        pending[shard].push((i, checked.address));
-                    }
-                    Err(e) => {
-                        // A failed check never reaches the drain; record it
-                        // here so every submitted op shows up in telemetry
-                        // exactly once.
-                        let telemetry = &self.inner.telemetry;
-                        if telemetry.armed() {
-                            telemetry.record(OpSample {
-                                kind: OpKind::of(op),
-                                client: u32::from(client.0),
-                                vbid: 0,
-                                shard: 0,
-                                start_ns: 0,
-                                duration_ns: 0,
-                                flags: TraceEvent::FLAG_ERROR,
-                                timed: false,
-                            });
-                        }
-                        responses[i] = Some(Err(e));
-                    }
+            if let Some(checked) = ops::check_data_op(&mut env, op) {
+                match checked.vbuid() {
+                    Some(vbuid) => pending[self.shard_of(vbuid)].push((i, checked)),
+                    // A failed check has no MTL half: answer (and record)
+                    // it now.
+                    None => responses[i] = Some(ops::run_data_op(&mut env, op, checked)),
                 }
             } else {
                 // MTL-free ops (Access, empty byte spans) touch only
@@ -700,135 +721,33 @@ impl VbiService {
                 let takes_no_shard_lock =
                     matches!(op, Op::Access { .. } | Op::LoadBytes { .. } | Op::StoreBytes { .. });
                 if !takes_no_shard_lock {
-                    self.drain_pending(batch, &mut pending, &mut responses);
+                    Self::drain_pending(&mut env, batch, &mut pending, &mut responses);
                 }
-                responses[i] = Some(self.execute(op.clone()));
+                responses[i] = Some(ops::execute(&mut env, op.clone()));
             }
         }
-        self.drain_pending(batch, &mut pending, &mut responses);
+        Self::drain_pending(&mut env, batch, &mut pending, &mut responses);
         responses.into_iter().map(|r| r.expect("every op answered")).collect()
     }
 
-    /// Runs every deferred MTL half, one shard lock per populated shard —
-    /// through the engine's pressure path, so an oversubscribed batch
-    /// evicts and retries exactly like the synchronous front end. Fault-in
-    /// notifications go out after each shard lock is released (client
-    /// locks only — the engine's lock order).
+    /// Runs every deferred MTL half, holding each populated shard's lock
+    /// once for its whole group.
     fn drain_pending(
-        &self,
+        env: &mut ServiceEnv<'_>,
         batch: &[Op],
-        pending: &mut [Vec<(usize, VbiAddress)>],
+        pending: &mut [Vec<(usize, CheckedOp)>],
         responses: &mut [Option<OpResult>],
     ) {
-        let mut faulted: Vec<usize> = Vec::new();
-        let telemetry = &self.inner.telemetry;
-        let armed = telemetry.armed();
-        let trace_evictions = telemetry.tracing_enabled();
-        // A multi-shard drain may borrow sibling capacity for items the
-        // home shard cannot serve even after eviction; a single-shard
-        // service has no sibling, keeping it op-for-op identical to
-        // `System` (one pressure attempt per op).
-        let can_borrow = self.inner.shards.len() > 1;
         for (shard, items) in pending.iter_mut().enumerate() {
             if items.is_empty() {
                 continue;
             }
-            self.inner.shards[shard].ops.fetch_add(items.len() as u64, Ordering::Relaxed);
-            // (batch index, address) of items deferred to the borrow retry.
-            let mut starved: Vec<(usize, VbiAddress)> = Vec::new();
-            {
-                let mut mtl = self.lock_shard(shard);
-                for (i, address) in items.drain(..) {
-                    let timed = armed && telemetry.should_time();
-                    let start = if timed { telemetry.now_ns() } else { 0 };
-                    let evictions_before = if trace_evictions { mtl.stats().evictions } else { 0 };
-                    let (result, fault) = ops::run_checked_pressured(&mut mtl, &batch[i], address);
-                    if can_borrow && matches!(result, Err(VbiError::OutOfPhysicalMemory)) {
-                        // Defer: recorded (exactly once) by the retry pass.
-                        starved.push((i, address));
-                        continue;
-                    }
-                    if armed {
-                        let evicted = trace_evictions && mtl.stats().evictions > evictions_before;
-                        self.record_drained(
-                            &batch[i], address, shard, start, timed, &result, fault, evicted,
-                        );
-                    }
-                    responses[i] = Some(result);
-                    if fault {
-                        faulted.push(i);
-                    }
-                }
+            env.hold(shard);
+            for (i, checked) in items.drain(..) {
+                responses[i] = Some(ops::run_data_op(env, &batch[i], checked));
             }
-            if !starved.is_empty() {
-                // The shard lock is released: pull capacity over, then run
-                // the starved items once more (still OOM if nothing could
-                // be borrowed — that final result is the recorded one).
-                let want = self.inner.config.base.pressure_reclaim_batch.max(starved.len());
-                self.borrow_frames_for_shard(shard, want);
-                let mut mtl = self.lock_shard(shard);
-                for (i, address) in starved {
-                    let timed = armed && telemetry.should_time();
-                    let start = if timed { telemetry.now_ns() } else { 0 };
-                    let evictions_before = if trace_evictions { mtl.stats().evictions } else { 0 };
-                    let (result, fault) = ops::run_checked_pressured(&mut mtl, &batch[i], address);
-                    if armed {
-                        let evicted = trace_evictions && mtl.stats().evictions > evictions_before;
-                        self.record_drained(
-                            &batch[i], address, shard, start, timed, &result, fault, evicted,
-                        );
-                    }
-                    responses[i] = Some(result);
-                    if fault {
-                        faulted.push(i);
-                    }
-                }
-            }
+            env.release();
         }
-        for i in faulted {
-            if let Some((client, va, _)) = batch[i].checked_access() {
-                self.invalidate_published(client, va.cvt_index());
-            }
-        }
-    }
-
-    /// Records one drained data op's sample. The drain bypasses
-    /// `ops::execute`, so the batched data plane records its own samples —
-    /// the MTL half is the op's latency here (checks were amortized up
-    /// front).
-    #[allow(clippy::too_many_arguments)]
-    fn record_drained(
-        &self,
-        op: &Op,
-        address: VbiAddress,
-        shard: usize,
-        start: u64,
-        timed: bool,
-        result: &OpResult,
-        fault: bool,
-        evicted: bool,
-    ) {
-        let telemetry = &self.inner.telemetry;
-        let mut flags = 0u8;
-        if result.is_err() {
-            flags |= TraceEvent::FLAG_ERROR;
-        }
-        if fault {
-            flags |= TraceEvent::FLAG_FAULT_IN;
-        }
-        if evicted {
-            flags |= TraceEvent::FLAG_EVICT;
-        }
-        telemetry.record(OpSample {
-            kind: OpKind::of(op),
-            client: op.client().map_or(u32::MAX, |c| u32::from(c.0)),
-            vbid: address.vbuid().vbid(),
-            shard: shard as u16,
-            start_ns: start,
-            duration_ns: if timed { telemetry.now_ns().saturating_sub(start) } else { 0 },
-            flags,
-            timed,
-        });
     }
 
     /// Invalidates the published CVT-cache slot for (`client`, `index`),
@@ -889,7 +808,7 @@ impl VbiService {
     /// Returns [`VbiError::InvalidClient`] / an invalid-CVT error when the
     /// handle does not resolve.
     pub fn reclaim_vb_frames(&self, client: ClientId, index: usize, count: usize) -> Result<usize> {
-        ops::reclaim_vb_frames(&mut ServiceEnv(self), client, index, count)
+        ops::reclaim_vb_frames(&mut ServiceEnv::new(self), client, index, count)
     }
 
     /// Occupancy of the backing store on the home shard of the VB behind
@@ -900,7 +819,7 @@ impl VbiService {
     /// Returns [`VbiError::InvalidClient`] / an invalid-CVT error when the
     /// handle does not resolve.
     pub fn backing_report(&self, client: ClientId, index: usize) -> Result<ops::BackingReport> {
-        ops::backing_report(&mut ServiceEnv(self), client, index)
+        ops::backing_report(&mut ServiceEnv::new(self), client, index)
     }
 
     // --- statistics -------------------------------------------------------------
@@ -1055,7 +974,7 @@ impl SessionHost for VbiService {
         va: vbi_core::client::VirtualAddress,
         data: &[u8],
     ) -> Result<()> {
-        ops::store_bytes(&mut ServiceEnv(self), client, va, data)
+        ops::store_bytes(&mut ServiceEnv::new(self), client, va, data)
     }
 }
 
@@ -1144,27 +1063,6 @@ mod tests {
         let stats_after = c.cvt_cache_stats().unwrap();
         assert_eq!(locks_after, locks_before, "cache-hit reads must take zero client locks");
         assert_eq!(stats_after.lockfree_hits, stats_before.lockfree_hits + 100);
-    }
-
-    #[test]
-    fn lockfree_reads_can_be_disabled() {
-        let svc = VbiService::new(
-            ServiceConfig::new(1, VbiConfig { phys_frames: 4096, ..VbiConfig::vbi_full() })
-                .with_lockfree_reads(false),
-        );
-        let c = svc.create_client().unwrap();
-        let vb = c.request_vb(4096, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
-        c.store_u64(vb.at(0), 1).unwrap();
-        let locks_before = svc.client_lock_acquisitions(c.id()).unwrap();
-        for _ in 0..10 {
-            c.load_u64(vb.at(0)).unwrap();
-        }
-        assert_eq!(
-            svc.client_lock_acquisitions(c.id()).unwrap(),
-            locks_before + 10,
-            "with lock-free reads off, every read locks"
-        );
-        assert_eq!(c.cvt_cache_stats().unwrap().lockfree_hits, 0);
     }
 
     #[test]

@@ -475,8 +475,6 @@ pub struct ReadPathConfig {
     /// VBs the client owns (reads round-robin across them; keep it at or
     /// below the CVT-cache slot count so the cache stays warm).
     pub vbs: usize,
-    /// `true` = seqlock fast path enabled; `false` = locked baseline.
-    pub lockfree: bool,
     /// Whether the telemetry metrics registry is armed (per-op counters and
     /// latency histograms at the engine's execute boundary). `false` is the
     /// uninstrumented baseline the `BENCH_telemetry` overhead bench
@@ -493,7 +491,6 @@ impl Default for ReadPathConfig {
             shards: 4,
             ops_per_thread: 50_000,
             vbs: 16,
-            lockfree: true,
             telemetry: true,
             phys_frames: 1 << 16,
         }
@@ -505,8 +502,6 @@ impl Default for ReadPathConfig {
 pub struct ReadPathReport {
     /// Reader threads of the run.
     pub threads: usize,
-    /// Whether the lock-free fast path was enabled.
-    pub lockfree: bool,
     /// Loads completed across all readers.
     pub total_ops: u64,
     /// Wall-clock seconds of the read phase only (setup and warm-up are
@@ -532,7 +527,6 @@ impl ReadPathReport {
         use vbi_core::telemetry::JsonValue as J;
         vbi_core::telemetry::json_object(&[
             ("threads", J::U(self.threads as u64)),
-            ("lockfree", J::B(self.lockfree)),
             ("total_ops", J::U(self.total_ops)),
             ("elapsed_secs", J::F(self.elapsed_secs, 6)),
             ("ops_per_sec", J::F(self.ops_per_sec, 0)),
@@ -549,25 +543,21 @@ impl ReadPathReport {
 
 /// Runs `config.threads` readers, all clones of **one** session, over a
 /// warm CVT cache: every load is a cache-hit protection check plus one
-/// home-shard memory read. With `lockfree` the checks take zero client
-/// locks (seqlock snapshot); without it each check locks the client — the
-/// contended baseline the redesign removes.
+/// home-shard memory read, and the checks take zero client locks (seqlock
+/// snapshot).
 ///
 /// # Panics
 ///
 /// Panics if the footprint does not fit the machine or any read fails.
 pub fn read_path_run(config: &ReadPathConfig) -> ReadPathReport {
-    let service = VbiService::new(
-        ServiceConfig::new(
-            config.shards,
-            VbiConfig {
-                phys_frames: config.phys_frames,
-                telemetry_metrics: config.telemetry,
-                ..VbiConfig::vbi_full()
-            },
-        )
-        .with_lockfree_reads(config.lockfree),
-    );
+    let service = VbiService::new(ServiceConfig::new(
+        config.shards,
+        VbiConfig {
+            phys_frames: config.phys_frames,
+            telemetry_metrics: config.telemetry,
+            ..VbiConfig::vbi_full()
+        },
+    ));
     let session = service.create_client().expect("fresh service");
     let handles: Vec<VbHandle> = (0..config.vbs)
         .map(|_| {
@@ -610,7 +600,6 @@ pub fn read_path_run(config: &ReadPathConfig) -> ReadPathReport {
     let total_ops = (config.threads * config.ops_per_thread) as u64;
     ReadPathReport {
         threads: config.threads,
-        lockfree: config.lockfree,
         total_ops,
         elapsed_secs: elapsed,
         ops_per_sec: if elapsed > 0.0 { total_ops as f64 / elapsed } else { 0.0 },
@@ -1301,19 +1290,14 @@ mod tests {
 
     #[test]
     fn read_path_run_is_lock_free_when_enabled() {
-        let base =
+        let config =
             ReadPathConfig { threads: 2, shards: 2, ops_per_thread: 500, ..Default::default() };
-        let fast = read_path_run(&ReadPathConfig { lockfree: true, ..base.clone() });
+        let fast = read_path_run(&config);
         assert_eq!(fast.total_ops, 1_000);
         assert_eq!(fast.client_locks, 0, "warm cache-hit reads must take zero client locks");
         assert_eq!(fast.cache.lockfree_hits, 1_000);
         let json = fast.to_json();
         assert!(json.contains("\"client_locks\":0"), "{json}");
-
-        let locked = read_path_run(&ReadPathConfig { lockfree: false, ..base });
-        assert_eq!(locked.client_locks, 1_000, "baseline locks once per read");
-        assert_eq!(locked.cache.lockfree_hits, 0);
-        assert_eq!(locked.cache.locked_hits, 1_000);
     }
 
     #[test]

@@ -954,6 +954,77 @@ fn stranded_table_frames_borrow_capacity_from_sibling_shards() {
     assert_eq!(session.load_u64(sibling.at(0)).unwrap(), 0xD0_0D);
 }
 
+/// Batch order holds when an op must borrow: a `StoreU64` that finds its
+/// home shard stranded borrows sibling frames at its own place in a
+/// `submit` batch, so the `LoadU64` after it in the same batch reads the
+/// stored value, not the zero of a never-touched page. Uses the stranded
+/// shard of `stranded_table_frames_borrow_capacity_from_sibling_shards`:
+/// each round requests a fresh VB homed on shard 0, strands every free
+/// frame in clone tables, then submits the store/load pair on the fresh
+/// VB's first page, until a round borrows. Every submitted op is also
+/// recorded exactly once, borrow path included.
+#[test]
+fn batched_store_then_load_keeps_order_when_the_store_borrows() {
+    let svc = VbiService::new(ServiceConfig::new(
+        2,
+        VbiConfig { phys_frames: 64, ..VbiConfig::vbi_full() },
+    ));
+    let session = svc.create_client().unwrap();
+    let homed_on_shard_0 = || {
+        for _ in 0..64 {
+            let vb = session.request_vb(4 << 10, VbProperties::NONE, Rwx::READ_WRITE).unwrap();
+            if svc.shard_of(vb.vbuid) == 0 {
+                return vb;
+            }
+            session.release_vb(vb.cvt_index).unwrap();
+        }
+        panic!("placement never reached shard 0");
+    };
+    let vb = homed_on_shard_0();
+    session.store_u64(vb.at(0), 0xFEED_0000_0000_0001).unwrap();
+    svc.reclaim_vb_frames(session.id(), vb.cvt_index, 64).unwrap();
+
+    let mut clones = Vec::new();
+    for round in 0..64u64 {
+        assert!(round < 63, "shard 0 never ran out of reclaimable capacity");
+        let fresh = homed_on_shard_0();
+        // Strand every free frame in unreclaimable translation tables.
+        loop {
+            assert!(clones.len() < 200, "cloning never exhausted shard 0");
+            match session.clone_vb(vb.cvt_index) {
+                Ok(clone) => clones.push(clone),
+                Err(VbiError::OutOfPhysicalMemory) => break,
+                Err(other) => panic!("unexpected clone failure: {other}"),
+            }
+        }
+        let value = 0xB0B0_0000_0000_0000 | round;
+        let before = svc.snapshot().total_ops();
+        let responses = svc.submit(&[
+            Op::StoreU64 { client: session.id(), va: fresh.at(0), value },
+            Op::LoadU64 { client: session.id(), va: fresh.at(0) },
+        ]);
+        assert_eq!(responses[0], Ok(OpOutput::Unit), "round {round}: the store must succeed");
+        assert_eq!(
+            responses[1],
+            Ok(OpOutput::U64(value)),
+            "round {round}: the load must see the store before it in the batch"
+        );
+        assert_eq!(
+            svc.snapshot().total_ops(),
+            before + 2,
+            "round {round}: each submitted op is recorded exactly once"
+        );
+        if svc.frames_borrowed() > 0 {
+            return;
+        }
+        // Swap every resident page out so the freed frames return to the
+        // pool where the next round's clones strand them for good.
+        for handle in clones.iter().chain([&vb, &fresh]) {
+            svc.reclaim_vb_frames(session.id(), handle.cvt_index, 64).unwrap();
+        }
+    }
+}
+
 /// The async front end's acceptance proof: 120 000 awaited ops across
 /// 10 000 concurrent sessions (12 000 tasks — one fifth of the sessions
 /// are shared by two tasks on a budget of 1, so backpressure *must*
