@@ -10,10 +10,11 @@
 //! implementation models the *enhanced* variant the paper compares against:
 //! a 16K-entry CTC with hardware-managed walks and 2 MiB pages.
 
+use vbi_core::inline_vec::InlineVec;
 use vbi_core::tlb::Tlb;
 
 use crate::alloc::FrameAlloc;
-use crate::page_table::{PageSize, PageTable};
+use crate::page_table::{PageSize, PageTable, MAX_WALK_LEVELS};
 
 /// Statistics for an Enigma memory controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,7 +37,7 @@ pub struct EnigmaTranslation {
     /// Whether the CTC supplied the mapping.
     pub ctc_hit: bool,
     /// Memory accesses performed by the hardware walk (empty on CTC hits).
-    pub walk_accesses: Vec<u64>,
+    pub walk_accesses: InlineVec<u64, MAX_WALK_LEVELS>,
 }
 
 /// The Enigma memory controller: CTC + hardware-walked IA-to-physical table.
@@ -101,7 +102,7 @@ impl EnigmaController {
             return EnigmaTranslation {
                 paddr: (frame << 12) + offset,
                 ctc_hit: true,
-                walk_accesses: Vec::new(),
+                walk_accesses: InlineVec::new(),
             };
         }
         self.stats.walks += 1;
@@ -114,7 +115,8 @@ impl EnigmaController {
             self.table.map(ia, frame, &mut self.frames);
             walk = self.table.walk(ia);
         }
-        let walk_accesses: Vec<u64> = walk.steps.iter().map(|s| s.entry_addr).collect();
+        let walk_accesses: InlineVec<u64, MAX_WALK_LEVELS> =
+            walk.steps.iter().map(|s| s.entry_addr).collect();
         self.stats.walk_accesses += walk_accesses.len() as u64;
         let frame = walk.frame.expect("just mapped");
         self.ctc.insert(ipn, frame);

@@ -6,13 +6,21 @@
 //! 4-way L2 TLB, and a 32-entry fully associative page-walk cache that
 //! short-circuits the upper levels of the radix walk.
 
+use vbi_core::inline_vec::InlineVec;
 use vbi_core::tlb::Tlb;
 
 use crate::alloc::FrameAlloc;
-use crate::page_table::{PageSize, PageTable, WalkStep};
+use crate::page_table::{PageSize, PageTable, WalkStep, MAX_WALK_LEVELS};
 
 /// Latency charged when the L2 TLB (not the L1) supplies a translation.
 pub const L2_TLB_LATENCY: u64 = 7;
+
+/// Most page-table reads one translation can issue: a cold two-dimensional
+/// walk of 4-level tables, `levels * (levels + 1) + levels` (§1).
+pub const MAX_WALK_ACCESSES: usize = MAX_WALK_LEVELS * (MAX_WALK_LEVELS + 1) + MAX_WALK_LEVELS;
+
+/// The page-table entry addresses one translation reads, in order.
+pub type WalkAccesses = InlineVec<u64, MAX_WALK_ACCESSES>;
 
 /// Timing-relevant events of one baseline translation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -24,7 +32,7 @@ pub struct MmuEvents {
     pub l2_tlb_hit: bool,
     /// Physical addresses of page-table entries the walker had to read
     /// (empty on TLB hits; shortened by page-walk-cache hits).
-    pub walk_accesses: Vec<u64>,
+    pub walk_accesses: WalkAccesses,
     /// A page was allocated on demand (first touch).
     pub allocated: bool,
 }
@@ -235,7 +243,7 @@ impl NativeMmu {
         }
         let frame = walk.frame.expect("just mapped");
         let charged = self.pwc.filter(&walk.steps);
-        let walk_accesses: Vec<u64> = charged.iter().map(|s| s.entry_addr).collect();
+        let walk_accesses: WalkAccesses = charged.iter().map(|s| s.entry_addr).collect();
         self.stats.walk_accesses += walk_accesses.len() as u64;
         self.tlbs.insert(vpn, frame);
         MmuTranslation {

@@ -13,7 +13,7 @@
 use vbi_core::tlb::Tlb;
 
 use crate::alloc::FrameAlloc;
-use crate::mmu::{MmuEvents, MmuTranslation, PageWalkCache, TlbHierarchy};
+use crate::mmu::{MmuEvents, MmuTranslation, PageWalkCache, TlbHierarchy, WalkAccesses};
 use crate::page_table::{PageSize, PageTable};
 
 /// Statistics for the nested MMU.
@@ -96,7 +96,7 @@ impl NestedMmu {
     /// Translates a gPA to an hPA, appending the host-walk accesses to
     /// `accesses`. Demand-allocates host memory. Uses the nested TLB when
     /// `for_table` (guest-table accesses show high locality).
-    fn host_translate(&mut self, gpa: u64, accesses: &mut Vec<u64>, for_table: bool) -> u64 {
+    fn host_translate(&mut self, gpa: u64, accesses: &mut WalkAccesses, for_table: bool) -> u64 {
         let gpn = gpa >> self.page_size.bits();
         if for_table {
             if let Some(hframe) = self.nested_tlb.lookup(&gpn) {
@@ -138,7 +138,7 @@ impl NestedMmu {
 
         // Two-dimensional walk.
         self.stats.walks += 1;
-        let mut accesses = Vec::new();
+        let mut accesses = WalkAccesses::new();
 
         // Ensure the guest mapping exists (guest demand paging, costless:
         // the guest OS's own bookkeeping is not on the simulated path).

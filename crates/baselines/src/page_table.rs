@@ -8,7 +8,12 @@
 //! played through the cache hierarchy and page-walk caches exactly as the
 //! paper's simulator does.
 
+use vbi_core::inline_vec::InlineVec;
+
 use crate::alloc::FrameAlloc;
+
+/// Levels of the deepest table (4 KiB pages): the most steps one walk takes.
+pub const MAX_WALK_LEVELS: usize = PageSize::Kb4.walk_levels() as usize;
 
 /// Baseline page sizes evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +54,7 @@ impl PageSize {
 
 /// One step of a page walk: the table level (0 = root/PML4) and the physical
 /// address of the entry read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkStep {
     /// Level from the root (0 = PML4).
     pub level: u32,
@@ -65,7 +70,7 @@ pub struct PtWalk {
     /// The translated base frame of the page, if mapped.
     pub frame: Option<u64>,
     /// Every step of the walk, root first.
-    pub steps: Vec<WalkStep>,
+    pub steps: InlineVec<WalkStep, MAX_WALK_LEVELS>,
 }
 
 #[derive(Debug, Clone)]
@@ -139,7 +144,7 @@ impl PageTable {
     /// an unmapped region stops at the missing node.
     pub fn walk(&self, vaddr: u64) -> PtWalk {
         let levels = self.page_size.walk_levels();
-        let mut steps = Vec::with_capacity(levels as usize);
+        let mut steps = InlineVec::new();
         let mut node = self.root.as_ref();
         for level in 0..levels {
             let index = self.index_at(vaddr, level);

@@ -75,6 +75,7 @@ pub mod config;
 pub mod cvt_cache;
 pub mod error;
 pub mod frame_cache;
+pub mod inline_vec;
 pub mod isa;
 pub mod mtl;
 pub mod multinode;

@@ -27,11 +27,15 @@ use crate::buddy::{BuddyAllocator, Order};
 use crate::config::VbiConfig;
 use crate::error::{Result, VbiError};
 use crate::frame_cache::FrameCache;
+use crate::inline_vec::InlineVec;
 use crate::phys::{Frame, PhysAddr, PhysicalMemory, FRAME_BYTES};
 use crate::stats::MtlStats;
 use crate::swap::{BackingStore, PressureBackend};
 use crate::tlb::Tlb;
-use crate::translate::{PageEntry, SwapSlot, TranslationKind, TranslationStructure, WalkOutcome};
+use crate::translate::{
+    PageEntry, SwapSlot, TranslationKind, TranslationStructure, WalkAccesses, WalkOutcome,
+    MAX_WALK_DEPTH,
+};
 use crate::vb::VbProperties;
 use crate::vit::VbInfoTables;
 
@@ -64,7 +68,7 @@ pub struct TranslationEvents {
     /// The VIT cache supplied the translation-structure pointer.
     pub vit_cache_hit: bool,
     /// Memory accesses performed to tables (VIT entry + walk levels).
-    pub table_accesses: Vec<PhysAddr>,
+    pub table_accesses: InlineVec<PhysAddr, { MAX_WALK_DEPTH + 1 }>,
     /// A 4 KiB region was allocated while serving this request.
     pub allocated: bool,
     /// A page was brought in from the backing store.
@@ -744,10 +748,10 @@ impl Mtl {
                 let walk = structure.walk(page);
                 (Some(walk.outcome), walk.table_accesses)
             }
-            None => (None, Vec::new()),
+            None => (None, WalkAccesses::new()),
         };
         self.stats.walk_table_accesses += walk_accesses.len() as u64;
-        events.table_accesses.extend(walk_accesses);
+        events.table_accesses.extend(walk_accesses.iter().copied());
 
         let result = match (outcome, access) {
             // Mapped, read: done. Mapped COW, writeback: copy first.

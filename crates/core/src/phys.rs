@@ -46,7 +46,7 @@ impl fmt::Display for Frame {
 }
 
 /// A byte-granularity physical address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PhysAddr(pub u64);
 
 impl PhysAddr {

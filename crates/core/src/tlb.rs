@@ -116,7 +116,14 @@ impl<K: Eq + Hash + Clone + Debug, V: Clone> Tlb<K, V> {
         self.sets.iter().all(Vec::is_empty)
     }
 
+    /// The set `key` maps to: SipHash of the key modulo the set count. A
+    /// fully associative TLB has one set and skips the hash. The mapping of
+    /// set-associative TLBs is pinned by a test, since simulated results
+    /// depend on it.
     fn set_index(&self, key: &K) -> usize {
+        if self.sets.len() == 1 {
+            return 0;
+        }
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         (hasher.finish() as usize) % self.sets.len()
@@ -309,6 +316,23 @@ mod tests {
         tlb.insert(1, 1);
         tlb.lookup(&1);
         assert!((tlb.stats().miss_rate() - 0.5).abs() < 1e-9);
+    }
+
+    /// The set mapping of set-associative TLBs decides which entries
+    /// conflict, so the paper simulator's counts depend on it; pin it.
+    #[test]
+    fn set_index_is_pinned_on_a_512_entry_4_way_tlb() {
+        use crate::addr::{SizeClass, Vbuid};
+
+        let pages: Tlb<u64, u64> = Tlb::new(512, 4);
+        let got: Vec<usize> =
+            [0u64, 1, 0x7fff_f000, u64::MAX].iter().map(|k| pages.set_index(k)).collect();
+        assert_eq!(got, [69, 89, 40, 13]);
+
+        let vb = Vbuid::new(SizeClass::Mib4, 3);
+        let per_vb: Tlb<(Vbuid, u64), u64> = Tlb::new(512, 4);
+        let got: Vec<usize> = [0u64, 1, 1023].iter().map(|&p| per_vb.set_index(&(vb, p))).collect();
+        assert_eq!(got, [95, 95, 127]);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use crate::addr::SizeClass;
 use crate::buddy::{BuddyAllocator, Order};
 use crate::error::{Result, VbiError};
+use crate::inline_vec::InlineVec;
 use crate::phys::{Frame, PhysAddr, FRAME_SHIFT};
 
 /// Fanout bits per multi-level table node (512 eight-byte entries per 4 KiB
@@ -87,10 +88,22 @@ impl TranslationKind {
 
 /// Number of radix levels needed to map a VB of `size_class` with 4 KiB
 /// pages and 9-bit fanout.
-pub fn multi_level_depth(size_class: SizeClass) -> u32 {
+pub const fn multi_level_depth(size_class: SizeClass) -> u32 {
     let page_bits = size_class.offset_bits() - FRAME_SHIFT;
-    page_bits.div_ceil(LEVEL_BITS).max(1)
+    let depth = page_bits.div_ceil(LEVEL_BITS);
+    if depth == 0 {
+        1
+    } else {
+        depth
+    }
 }
+
+/// Most table accesses one walk can read: the depth of the largest size
+/// class's multi-level structure.
+pub const MAX_WALK_DEPTH: usize = multi_level_depth(SizeClass::Tib128) as usize;
+
+/// The table-entry addresses one walk reads, in order.
+pub type WalkAccesses = InlineVec<PhysAddr, MAX_WALK_DEPTH>;
 
 /// What a walk found for the requested page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +129,7 @@ pub struct WalkResult {
     /// What the walk found.
     pub outcome: WalkOutcome,
     /// Table-entry addresses read, in order.
-    pub table_accesses: Vec<PhysAddr>,
+    pub table_accesses: WalkAccesses,
 }
 
 /// An interior or leaf node of a multi-level structure. Opaque outside the
@@ -321,7 +334,7 @@ impl TranslationStructure {
                     }
                     _ => WalkOutcome::Unmapped,
                 };
-                WalkResult { outcome, table_accesses: Vec::new() }
+                WalkResult { outcome, table_accesses: WalkAccesses::new() }
             }
             TranslationStructure::SingleLevel { table_frames, entries } => {
                 let byte = page * 8;
@@ -329,11 +342,11 @@ impl TranslationStructure {
                 let addr = table_frame.base().offset(byte & ((1 << FRAME_SHIFT) - 1));
                 WalkResult {
                     outcome: entry_outcome(entries[page as usize]),
-                    table_accesses: vec![addr],
+                    table_accesses: [addr].into_iter().collect(),
                 }
             }
             TranslationStructure::MultiLevel { depth, root, .. } => {
-                let mut accesses = Vec::with_capacity(*depth as usize);
+                let mut accesses = WalkAccesses::new();
                 let mut node = root.as_ref();
                 for level in 0..*depth {
                     let shift = LEVEL_BITS * (*depth - 1 - level);

@@ -31,11 +31,18 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
     dirty: bool,
+    /// Tick of the last use; 0 marks an empty way (ticks start at 1).
     lru: u64,
+}
+
+impl Line {
+    fn holds(&self, tag: u64) -> bool {
+        self.lru != 0 && self.tag == tag
+    }
 }
 
 /// Result of a cache access.
@@ -61,7 +68,9 @@ pub struct CacheAccess {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    /// `sets * ways` lines, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
     ways: usize,
     set_bits: u32,
     tick: u64,
@@ -84,7 +93,7 @@ impl Cache {
             "cache geometry must give a power-of-two set count"
         );
         Self {
-            sets: (0..set_count).map(|_| Vec::with_capacity(ways)).collect(),
+            lines: vec![Line::default(); set_count as usize * ways],
             ways,
             set_bits: set_count.trailing_zeros(),
             tick: 0,
@@ -94,7 +103,16 @@ impl Cache {
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.sets.len() as u64 * self.ways as u64 * LINE_BYTES
+        self.lines.len() as u64 * LINE_BYTES
+    }
+
+    fn set(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        let ways = self.ways;
+        &mut self.lines[set * ways..(set + 1) * ways]
     }
 
     fn split(&self, addr: u64) -> (usize, u64) {
@@ -114,30 +132,28 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set_idx, tag) = self.split(addr);
-        let ways = self.ways;
-        let set = &mut self.sets[set_idx];
+        let set = self.set_mut(set_idx);
 
-        if let Some(line) = set.iter_mut().find(|l| l.tag == tag) {
-            line.lru = tick;
-            line.dirty |= write;
-            self.stats.hits += 1;
-            return CacheAccess { hit: true, writeback: None };
+        // One pass finds the line or the victim: the least recently used
+        // way, or the first empty one (lru 0) while the set is not full.
+        let mut victim_idx = 0;
+        let mut victim_lru = u64::MAX;
+        for (i, line) in set.iter_mut().enumerate() {
+            if line.holds(tag) {
+                line.lru = tick;
+                line.dirty |= write;
+                self.stats.hits += 1;
+                return CacheAccess { hit: true, writeback: None };
+            }
+            if line.lru < victim_lru {
+                victim_idx = i;
+                victim_lru = line.lru;
+            }
         }
-        self.stats.misses += 1;
-
-        if set.len() < ways {
-            set.push(Line { tag, dirty: write, lru: tick });
-            return CacheAccess { hit: false, writeback: None };
-        }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(i, _)| i)
-            .expect("full set has a victim");
         let victim =
             core::mem::replace(&mut set[victim_idx], Line { tag, dirty: write, lru: tick });
-        let writeback = if victim.dirty {
+        self.stats.misses += 1;
+        let writeback = if victim.lru != 0 && victim.dirty {
             self.stats.dirty_evictions += 1;
             Some(self.line_addr(set_idx, victim.tag))
         } else {
@@ -149,14 +165,14 @@ impl Cache {
     /// Looks up `addr` without allocating on miss (probe).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.split(addr);
-        self.sets[set].iter().any(|l| l.tag == tag)
+        self.set(set).iter().any(|l| l.holds(tag))
     }
 
     /// Invalidates one line, returning whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let (set, tag) = self.split(addr);
-        let pos = self.sets[set].iter().position(|l| l.tag == tag)?;
-        Some(self.sets[set].swap_remove(pos).dirty)
+        let line = self.set_mut(set).iter_mut().find(|l| l.holds(tag))?;
+        Some(core::mem::take(line).dirty)
     }
 
     /// Invalidates every line whose address satisfies `predicate` (e.g. all
@@ -164,18 +180,18 @@ impl Cache {
     pub fn invalidate_matching(&mut self, mut predicate: impl FnMut(u64) -> bool) -> Vec<u64> {
         let mut dirty = Vec::new();
         let set_bits = self.set_bits;
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
-            set.retain(|l| {
-                let addr = ((l.tag << set_bits) | set_idx as u64) * LINE_BYTES;
-                if predicate(addr) {
-                    if l.dirty {
-                        dirty.push(addr);
-                    }
-                    false
-                } else {
-                    true
+        for (i, line) in self.lines.iter_mut().enumerate() {
+            if line.lru == 0 {
+                continue;
+            }
+            let set_idx = (i / self.ways) as u64;
+            let addr = ((line.tag << set_bits) | set_idx) * LINE_BYTES;
+            if predicate(addr) {
+                if line.dirty {
+                    dirty.push(addr);
                 }
-            });
+                *line = Line::default();
+            }
         }
         dirty
     }

@@ -19,10 +19,11 @@ use vbi_baselines::mmu::{NativeMmu, PerfectMmu, L2_TLB_LATENCY};
 use vbi_baselines::nested::NestedMmu;
 use vbi_baselines::page_table::PageSize;
 use vbi_core::addr::{SizeClass, VbiAddress, Vbuid};
-use vbi_core::client::ClientId;
+use vbi_core::client::{ClientId, Cvt};
 use vbi_core::config::VbiConfig;
 use vbi_core::cvt_cache::{ClientCvtCache, CvtCache};
 use vbi_core::mtl::{Mtl, MtlAccess, TranslateResult};
+use vbi_core::perm::Rwx;
 use vbi_core::vb::VbProperties;
 use vbi_mem_sim::controller::MemoryController;
 use vbi_mem_sim::hierarchy::{CacheHierarchy, HitLevel};
@@ -185,6 +186,30 @@ impl ControllerTableCache {
     }
 }
 
+/// Plays a set of translation-walk memory references through the cache
+/// hierarchy (page-table entries are cacheable), counting each as a
+/// translation access, and returns the stall they add.
+fn play_walk(
+    addrs: &[u64],
+    caches: &mut CacheHierarchy,
+    memory: &mut MemoryController,
+    counters: &mut SystemCounters,
+) -> u64 {
+    let mut stall = 0;
+    for &pa in addrs {
+        counters.translation_accesses += 1;
+        let access = caches.access(pa, false);
+        stall += access.latency;
+        if access.level == HitLevel::Memory {
+            stall += memory.service(pa);
+        }
+        for wb in access.llc_writebacks {
+            memory.service(wb);
+        }
+    }
+    stall
+}
+
 enum FrontEnd {
     Native(NativeMmu),
     Nested(NestedMmu),
@@ -220,25 +245,6 @@ impl PiptSystem {
             counters: SystemCounters::default(),
         }
     }
-
-    /// Plays a set of translation-walk memory references through the cache
-    /// hierarchy (page-table entries are cacheable) and returns the stall
-    /// they add.
-    fn play_walk(&mut self, addrs: &[u64]) -> u64 {
-        let mut stall = 0;
-        for &pa in addrs {
-            self.counters.translation_accesses += 1;
-            let access = self.caches.access(pa, false);
-            stall += access.latency;
-            if access.level == HitLevel::Memory {
-                stall += self.memory.service(pa);
-            }
-            for wb in access.llc_writebacks {
-                self.memory.service(wb);
-            }
-        }
-        stall
-    }
 }
 
 impl MemorySystem for PiptSystem {
@@ -259,11 +265,9 @@ impl MemorySystem for PiptSystem {
         if translation.events.l2_tlb_hit {
             cost.stall += L2_TLB_LATENCY;
         }
-        if !translation.events.walk_accesses.is_empty() {
-            let walk_addrs = translation.events.walk_accesses.clone();
-            cost.translation_accesses = walk_addrs.len() as u64;
-            cost.stall += self.play_walk(&walk_addrs);
-        }
+        let walk = &translation.events.walk_accesses;
+        cost.translation_accesses = walk.len() as u64;
+        cost.stall += play_walk(walk, &mut self.caches, &mut self.memory, &mut self.counters);
 
         let data = self.caches.access(translation.paddr, is_write);
         cost.stall += data.latency;
@@ -278,7 +282,6 @@ impl MemorySystem for PiptSystem {
             self.memory.service(wb);
             self.counters.dram_accesses += 1;
         }
-        self.counters.translation_accesses += 0; // walk counting done above
         cost
     }
 
@@ -375,19 +378,9 @@ impl VivtSystem {
             self.counters.tlb_misses += 1;
         }
         let mut stall = if translation.events.l2_tlb_hit { L2_TLB_LATENCY } else { 0 };
-        let walk_count = translation.events.walk_accesses.len() as u64;
-        for pa in translation.events.walk_accesses {
-            self.counters.translation_accesses += 1;
-            let access = self.caches.access(pa, false);
-            stall += access.latency;
-            if access.level == HitLevel::Memory {
-                stall += self.memory.service(pa);
-            }
-            for wb in access.llc_writebacks {
-                self.memory.service(wb);
-            }
-        }
-        (translation.paddr, stall, walk_count)
+        let walk = &translation.events.walk_accesses;
+        stall += play_walk(walk, &mut self.caches, &mut self.memory, &mut self.counters);
+        (translation.paddr, stall, walk.len() as u64)
     }
 }
 
@@ -512,6 +505,9 @@ pub struct VbiSystem {
     table_cache: ControllerTableCache,
     cvt_cache: CvtCache,
     vbs: Vec<Vbuid>,
+    /// The client's in-memory CVT: entry `i` names `vbs[i]` with full
+    /// permissions. Built at attach; CVT-cache misses refill from it.
+    cvt: Cvt,
     counters: SystemCounters,
     client: ClientId,
 }
@@ -520,6 +516,7 @@ impl VbiSystem {
     fn new(config: VbiConfig, phys_frames: u64) -> Self {
         let cvt_slots = config.cvt_cache_slots;
         let config = VbiConfig { phys_frames, ..config };
+        let client = ClientId(1);
         Self {
             mtl: Mtl::new(config),
             caches: CacheHierarchy::per_core_default(),
@@ -527,8 +524,9 @@ impl VbiSystem {
             table_cache: ControllerTableCache::new(),
             cvt_cache: CvtCache::new(cvt_slots),
             vbs: Vec::new(),
+            cvt: Cvt::new(client, 0),
             counters: SystemCounters::default(),
-            client: ClientId(1),
+            client,
         }
     }
 
@@ -558,6 +556,10 @@ impl MemorySystem for VbiSystem {
             self.mtl.add_ref(vb).expect("enabled");
             self.vbs.push(vb);
         }
+        self.cvt = Cvt::new(self.client, self.vbs.len());
+        for &vb in &self.vbs {
+            self.cvt.attach(vb, Rwx::ALL).expect("the CVT is sized for every region");
+        }
     }
 
     fn access(&mut self, region: usize, offset: u64, is_write: bool) -> AccessCost {
@@ -573,15 +575,8 @@ impl MemorySystem for VbiSystem {
                 cost.stall += self.memory.service(entry_addr);
                 self.counters.translation_accesses += 1;
             }
-            // Refill: the simulator does not model CVT entries functionally
-            // here (vbi-core::System covers that); insert a placeholder.
-            let mut cvt = vbi_core::client::Cvt::new(self.client, region + 1);
-            for _ in 0..=region {
-                let _ = cvt.attach(self.vbs[region], vbi_core::perm::Rwx::ALL);
-            }
-            if let Ok(entry) = cvt.entry(region) {
-                self.cvt_cache.fill(self.client, region, *entry);
-            }
+            let entry = *self.cvt.entry(region).expect("every region has a CVT entry");
+            self.cvt_cache.fill(self.client, region, entry);
         }
 
         let addr = self.vbs[region].address(offset).expect("trace stays in bounds");

@@ -274,3 +274,115 @@ proptest! {
         }
     }
 }
+
+// --- TLB replacement ---------------------------------------------------------
+
+use vbi::core::tlb::{Tlb, TlbStats};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A fully associative TLB is a true-LRU list: every lookup hits or
+    /// misses, every insert evicts (or not) and names the evicted pair
+    /// exactly as a recency-ordered reference list does.
+    #[test]
+    fn fully_associative_tlb_matches_a_reference_lru_list(
+        capacity in 1usize..9,
+        ops in prop::collection::vec((0u8..3, 0u64..12, any::<u64>()), 1..300),
+    ) {
+        let mut tlb: Tlb<u64, u64> = Tlb::fully_associative(capacity);
+        // Least recently used first.
+        let mut lru: Vec<(u64, u64)> = Vec::new();
+        let mut stats = TlbStats::default();
+        for (op, key, value) in ops {
+            match op {
+                0 => {
+                    let expected = lru.iter().position(|&(k, _)| k == key).map(|i| {
+                        let hit = lru.remove(i);
+                        lru.push(hit);
+                        hit.1
+                    });
+                    if expected.is_some() { stats.hits += 1 } else { stats.misses += 1 }
+                    prop_assert_eq!(tlb.lookup(&key), expected);
+                }
+                1 => {
+                    let evicted = match lru.iter().position(|&(k, _)| k == key) {
+                        Some(i) => {
+                            lru.remove(i);
+                            None
+                        }
+                        None if lru.len() == capacity => Some(lru.remove(0)),
+                        None => None,
+                    };
+                    lru.push((key, value));
+                    if evicted.is_some() { stats.evictions += 1 }
+                    prop_assert_eq!(tlb.insert(key, value), evicted);
+                }
+                _ => {
+                    let expected =
+                        lru.iter().position(|&(k, _)| k == key).map(|i| lru.remove(i).1);
+                    prop_assert_eq!(tlb.invalidate(&key), expected);
+                }
+            }
+            prop_assert_eq!(tlb.len(), lru.len());
+            prop_assert_eq!(tlb.stats(), stats);
+        }
+    }
+}
+
+// --- cache replacement -------------------------------------------------------
+
+use vbi::mem_sim::cache::{Cache, LINE_BYTES};
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A set-associative cache is a true-LRU list per set: every access
+    /// hits or misses, and every miss evicts (or not) and writes back the
+    /// dirty victim exactly as per-set recency-ordered reference lists do.
+    #[test]
+    fn cache_matches_reference_lru_sets(
+        set_exp in 0u32..3,
+        ways in 1usize..5,
+        ops in prop::collection::vec((0u8..8, 0u64..24, 0u64..64), 1..400),
+    ) {
+        let sets = 1usize << set_exp;
+        let mut cache = Cache::new((sets * ways) as u64 * LINE_BYTES, ways);
+        // Per set: (line address, dirty), least recently used first.
+        let mut model: Vec<Vec<(u64, bool)>> = vec![Vec::new(); sets];
+        for (op, line, offset) in ops {
+            let addr = line * LINE_BYTES + offset;
+            let line_addr = line * LINE_BYTES;
+            let set = &mut model[(line as usize) % sets];
+            let pos = set.iter().position(|&(a, _)| a == line_addr);
+            if op == 0 {
+                // Invalidate.
+                let expected = pos.map(|i| set.remove(i).1);
+                prop_assert_eq!(cache.invalidate(addr), expected);
+                continue;
+            }
+            let write = op % 2 == 1;
+            let got = cache.access(addr, write);
+            prop_assert_eq!(got.hit, pos.is_some());
+            let mut writeback = None;
+            let dirty = match pos {
+                Some(i) => set.remove(i).1 || write,
+                None => {
+                    if set.len() == ways {
+                        let (victim, victim_dirty) = set.remove(0);
+                        writeback = victim_dirty.then_some(victim);
+                    }
+                    write
+                }
+            };
+            set.push((line_addr, dirty));
+            prop_assert_eq!(got.writeback, writeback);
+        }
+        let mut dirty: Vec<u64> =
+            model.iter().flatten().filter(|&&(_, d)| d).map(|&(a, _)| a).collect();
+        dirty.sort_unstable();
+        let mut flushed = cache.flush();
+        flushed.sort_unstable();
+        prop_assert_eq!(flushed, dirty);
+    }
+}
